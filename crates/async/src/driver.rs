@@ -1,164 +1,99 @@
-//! The timer driver: owns a [`TimerService`] (and through it, any
-//! [`TimerScheme`]) plus the [`WakerTable`], and converts service expiries
-//! into task wakeups.
+//! The timer driver: any [`TimerScheme`] plus the waker table behind one
+//! lock ([`DriverCore`]), turning expiries into task wakeups.
 //!
-//! Two clocking modes, mirroring the service's own:
+//! Each future event is one short critical section on the scheme: arm is
+//! `start_timer`, reset is `restart_timer`, drop is `stop_timer` plus a
+//! slot free, and [`TimerDriver::advance`] is `advance_to_with`, which
+//! routes each expiry's `Request_ID` (the packed waker slot) to its waker
+//! with one generation-checked lookup. Wakers are invoked only after the
+//! lock is released. With an observer installed, the scheme raises the
+//! wheel hooks through [`Observed`](tw_core::Observed) and the driver adds
+//! [`Observer::on_wake_latency`], the arm→wake elapsed ticks per fire.
 //!
-//! * **Virtual time** (default) — the caller owns the clock and calls
-//!   [`TimerDriver::advance`]; each advance batch-drains the expiry channel
-//!   and delivers the whole coalesced wake storm before returning. This is
-//!   the deterministic mode the tests, the differential suite and the
-//!   million-sleep benchmark run in.
-//! * **Realtime** ([`TimerDriverBuilder::realtime`]) — the service thread
-//!   ticks on a wall-clock period and a dispatcher thread owned by the
-//!   driver drains expiries as they arrive, waking tasks with no caller
-//!   involvement.
+//! Two clocking modes:
 //!
-//! The fire path is allocation-free: an expiry's `Request_ID` *is* the
-//! packed waker-slot handle ([`slot_to_request`]), so dispatch is one
-//! generation-checked arena lookup ([`WakerTable::take_for_fire`]) and a
-//! `Waker::wake` outside the table lock. Wheel-side events (start, restart,
-//! per-tick costs) flow through the observer installed on the service; the
-//! driver adds the async-specific [`Observer::on_wake_latency`] hook,
-//! recording arm→wake elapsed ticks per fire.
+//! * **Virtual time** (default) — the caller calls [`TimerDriver::advance`],
+//!   which delivers the whole coalesced wake storm before returning. No
+//!   thread is spawned.
+//! * **Realtime** ([`TimerDriverBuilder::realtime`]) — one ticker thread
+//!   calls the same `advance(1)` once per wall-clock period; it is joined
+//!   when the last driver handle is dropped.
 //!
 //! # Backpressure
 //!
 //! When either arena is at its [`arena_capacity`](TimerDriverBuilder::arena_capacity)
 //! cap, arming reports [`TimerError::Exhausted`] internally. The driver
-//! converts that into *recoverable pending*: the sleep's waker is parked,
-//! the arm retried once (a fire may have raced the failure), and on the
-//! next capacity release — any fire or cancel — all parked wakers are
-//! woken so their sleeps re-poll and re-try the arm. No task ever observes
-//! the error.
+//! turns that into *recoverable pending*: the task's waker is parked once,
+//! however often it re-polls, and every capacity release — a fire or a
+//! drop — wakes the parked tasks to retry. Parking and releasing share the
+//! one lock, so no release slips between a failed arm and its park. No
+//! task ever observes the error.
 
 use std::future::Future;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::task::Waker;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tw_concurrent::sync::channel::RecvTimeoutError;
-use tw_concurrent::sync::{Arc, Mutex};
-use tw_concurrent::{Expiry, TimerService};
+use tw_concurrent::sync::{Mutex, MutexGuard};
 use tw_core::{Observer, RequestId, TickDelta, TimerError, TimerHandle, TimerScheme};
 
 use crate::interval::Interval;
 use crate::sleep::Sleep;
-use crate::slots::{request_to_slot, slot_to_request, RegisterOutcome, WakerTable};
+use crate::slots::{ArmOutcome, DriverCore, RegisterOutcome};
 use crate::timeout::Timeout;
 
-/// How long the realtime dispatcher sleeps in `recv_timeout` before
-/// re-checking the shutdown flag.
-const DISPATCH_POLL: Duration = Duration::from_millis(5);
-
 /// State shared between driver handles, polling tasks, and the realtime
-/// dispatcher thread.
-pub(crate) struct DriverShared {
-    svc: TimerService,
-    table: WakerTable<Waker>,
-    /// Wakers of sleeps that hit `Exhausted` while arming; woken (to
-    /// re-poll and retry) whenever capacity is released.
-    parked: Mutex<Vec<Waker>>,
-    observer: Option<Arc<dyn Observer + Send + Sync>>,
+/// ticker thread.
+struct Shared {
+    core: Mutex<DriverCore<Waker>>,
     shutdown: AtomicBool,
 }
 
-impl DriverShared {
-    /// Routes one expiry to its waker slot. Returns `true` if a live sleep
-    /// was completed (stale expiries — the sleep was dropped or reset while
-    /// the notification was in flight — are dropped silently).
-    fn fire(&self, expiry: &Expiry) -> bool {
-        let slot = request_to_slot(expiry.id);
-        let Some((waker, interval)) = self.table.take_for_fire(slot) else {
-            return false;
+impl Shared {
+    fn advance(&self, ticks: u64) -> u64 {
+        let (fired, due) = {
+            let mut core = self.core.lock();
+            (core.advance(ticks), core.take_due())
         };
-        if let Some(obs) = &self.observer {
-            // Arm tick reconstructed from the slot's recorded interval;
-            // saturating because reduced-precision schemes may round the
-            // deadline below `armed + interval`.
-            let armed = expiry.deadline.as_u64().saturating_sub(interval.as_u64());
-            let elapsed = expiry.fired_at.as_u64().saturating_sub(armed);
-            obs.on_wake_latency(TickDelta(elapsed));
-        }
-        if let Some(w) = waker {
-            w.wake();
-        }
-        true
+        self.wake(due);
+        fired
     }
 
-    /// Batch-drains the expiry channel — the coalesced wake storm after an
-    /// `advance` — then gives exhaustion-parked sleeps a retry chance.
-    fn drain_expiries(&self) -> u64 {
-        let mut woken = 0u64;
-        for expiry in self.svc.expiries().try_iter() {
-            if self.fire(&expiry) {
-                woken += 1;
-            }
+    /// Invokes the wakers a core operation queued — called after the lock
+    /// is released — and hands the emptied buffer back for the next storm.
+    fn wake(&self, due: Option<Vec<Waker>>) {
+        let Some(mut due) = due else {
+            return;
+        };
+        for waker in &due {
+            waker.wake_by_ref();
         }
-        if woken > 0 {
-            // Fires freed slots: let parked sleeps contend for them.
-            self.wake_parked();
-        }
-        woken
-    }
-
-    fn park(&self, waker: &Waker) {
-        self.parked.lock().push(waker.clone());
-    }
-
-    fn wake_parked(&self) {
-        let drained = std::mem::take(&mut *self.parked.lock());
-        for w in drained {
-            w.wake();
-        }
+        due.clear();
+        self.core.lock().recycle_due(due);
     }
 }
 
-/// The realtime dispatcher: blocks on the expiry channel, fires each
-/// notification, and opportunistically drains any burst behind it.
-fn dispatch_loop(shared: &DriverShared) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match shared.svc.expiries().recv_timeout(DISPATCH_POLL) {
-            Ok(expiry) => {
-                shared.fire(&expiry);
-                shared.drain_expiries();
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                // Idle beat: cancels release capacity without pushing an
-                // expiry, so parked sleeps get a periodic retry.
-                shared.wake_parked();
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-}
-
-/// Owns the shared state and the dispatcher thread; dropped when the last
+/// Owns the shared state and the ticker thread; dropped when the last
 /// driver handle goes away.
-struct DriverCore {
-    shared: Arc<DriverShared>,
-    dispatcher: Mutex<Option<JoinHandle<()>>>,
+struct Inner {
+    shared: Arc<Shared>,
+    ticker: Option<JoinHandle<()>>,
 }
 
-impl Drop for DriverCore {
+impl Drop for Inner {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Take the handle out, release the lock, then join: the join can
-        // outlast a dispatch round and must not hold `dispatcher` while
-        // it blocks.
-        let mut slot = self.dispatcher.lock();
-        let handle = slot.take();
-        drop(slot);
-        if let Some(handle) = handle {
-            let _ = handle.join();
+        if let Some(ticker) = self.ticker.take() {
+            self.shared.shutdown.store(true, Ordering::Release);
+            ticker.thread().unpark();
+            let _ = ticker.join();
         }
     }
 }
 
 /// Builder for a [`TimerDriver`]; the async layer's single construction
-/// entry point, delegating every service knob to
-/// [`TimerService::builder`](tw_concurrent::TimerService::builder).
+/// entry point.
 ///
 /// ```
 /// use tw_async::TimerDriver;
@@ -176,26 +111,24 @@ pub struct TimerDriverBuilder<S> {
     period: Option<Duration>,
     observer: Option<Arc<dyn Observer + Send + Sync>>,
     arena_capacity: Option<usize>,
-    channel_depth: Option<usize>,
 }
 
 impl<S> TimerDriverBuilder<S>
 where
     S: TimerScheme<RequestId> + Send + 'static,
 {
-    /// Ticks the wheel on a wall-clock `period` (service thread) and
-    /// dispatches wakes from a driver-owned thread. Without this, the
-    /// driver runs in virtual time and [`TimerDriver::advance`] is the
-    /// clock.
+    /// Ticks the wheel once per wall-clock `period` from a driver-owned
+    /// ticker thread. Without this, the driver runs in virtual time,
+    /// spawns no thread, and [`TimerDriver::advance`] is the clock.
     #[must_use]
     pub fn realtime(mut self, period: Duration) -> Self {
         self.period = Some(period);
         self
     }
 
-    /// Installs `observer` on both layers: the service raises the wheel
-    /// and lock/queue hooks, the driver raises
-    /// [`Observer::on_wake_latency`] per delivered wake.
+    /// Installs `observer`: the scheme is wrapped in
+    /// [`Observed`](tw_core::Observed) to raise the wheel hooks, and the
+    /// driver raises [`Observer::on_wake_latency`] per delivered wake.
     #[must_use]
     pub fn observer(mut self, observer: Arc<dyn Observer + Send + Sync>) -> Self {
         self.observer = Some(observer);
@@ -211,81 +144,41 @@ where
         self
     }
 
-    /// Sizes the service's expiry channel for bursts of `depth`.
-    #[must_use]
-    pub fn channel_depth(mut self, depth: usize) -> Self {
-        self.channel_depth = Some(depth);
-        self
-    }
-
-    /// Spawns the service (and the dispatcher, in realtime mode) and
-    /// returns the cloneable driver handle.
+    /// Builds the driver (spawning the ticker, in realtime mode) and
+    /// returns the cloneable handle.
     #[must_use]
     pub fn build(self) -> TimerDriver {
-        let TimerDriverBuilder {
-            scheme,
-            period,
-            observer,
-            arena_capacity,
-            channel_depth,
-        } = self;
-        let mut builder = TimerService::builder(scheme);
-        if let Some(p) = period {
-            builder = builder.realtime(p);
-        }
-        if let Some(o) = &observer {
-            builder = builder.observer(Arc::clone(o));
-        }
-        if let Some(limit) = arena_capacity {
-            builder = builder.arena_capacity(limit);
-        }
-        if let Some(depth) = channel_depth {
-            builder = builder.channel_depth(depth);
-        }
-        let svc = builder.spawn();
-        let table = WakerTable::new();
-        if let Some(limit) = arena_capacity {
-            table.set_capacity(limit);
-        }
-        let shared = Arc::new(DriverShared {
-            svc,
-            table,
-            parked: Mutex::new(Vec::new()),
-            observer,
+        let shared = Arc::new(Shared {
+            core: Mutex::new(DriverCore::new(
+                self.scheme,
+                self.observer,
+                self.arena_capacity,
+            )),
             shutdown: AtomicBool::new(false),
         });
-        let dispatcher = period.map(|_| {
-            let worker = Arc::clone(&shared);
-            std::thread::spawn(move || dispatch_loop(&worker))
+        // The realtime ticker sleeps its period rather than reading a clock,
+        // so a late or spurious wakeup shifts the schedule, never skips ticks.
+        let ticker = self.period.map(|period| {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || loop {
+                std::thread::park_timeout(period);
+                if shared.shutdown.load(Ordering::Acquire) {
+                    return;
+                }
+                shared.advance(1);
+            })
         });
         TimerDriver {
-            inner: Arc::new(DriverCore {
-                shared,
-                dispatcher: Mutex::new(dispatcher),
-            }),
+            inner: Arc::new(Inner { shared, ticker }),
         }
     }
-}
-
-/// Result of arming a sleep's timer.
-pub(crate) enum ArmOutcome {
-    /// Timer started; the sleep holds both handles until fire/drop/reset.
-    Armed {
-        /// Waker-table slot (packed into the service `Request_ID`).
-        slot: TimerHandle,
-        /// Service-side timer handle, for `restart_timer`/`stop_timer`.
-        timer: TimerHandle,
-    },
-    /// Capacity exhausted; the waker is parked and the sleep stays
-    /// pending — it re-arms on the wake that follows a capacity release.
-    Parked,
 }
 
 /// Cloneable handle to the async timer driver. All sleeps created from
-/// clones share one service, one wheel, and one waker table.
+/// clones share one scheme and one waker table.
 #[derive(Clone)]
 pub struct TimerDriver {
-    inner: Arc<DriverCore>,
+    inner: Arc<Inner>,
 }
 
 impl TimerDriver {
@@ -299,7 +192,6 @@ impl TimerDriver {
             period: None,
             observer: None,
             arena_capacity: None,
-            channel_depth: None,
         }
     }
 
@@ -339,108 +231,78 @@ impl TimerDriver {
         Interval::new(self.sleep(period), period)
     }
 
-    /// Advances virtual time by `ticks`, fires due timers, and delivers
-    /// the entire coalesced wake storm before returning. Returns the
-    /// number of timers the wheel fired.
+    /// Advances time by `ticks`, fires due timers, and delivers the entire
+    /// coalesced wake storm before returning. Returns the number of timers
+    /// the wheel fired.
     ///
-    /// In realtime mode the dispatcher delivers wakes instead; calling
-    /// this still nudges parked sleeps but the clock is the service's.
+    /// In realtime mode the ticker calls this once per period; a caller's
+    /// extra advance moves the same clock.
     pub fn advance(&self, ticks: u64) -> u64 {
-        let fired = self.inner.shared.svc.advance(ticks);
-        self.inner.shared.drain_expiries();
-        fired
+        self.inner.shared.advance(ticks)
     }
 
     /// Outstanding timers in the wheel (armed sleeps, from the scheme's
     /// point of view).
     #[must_use]
     pub fn outstanding(&self) -> usize {
-        self.inner.shared.svc.outstanding()
+        let core = self.core();
+        core.outstanding()
     }
 
-    /// Live waker slots — pending sleeps currently armed or mid-fire.
+    /// Live waker slots — pending sleeps currently armed.
     #[must_use]
     pub fn pending_sleeps(&self) -> usize {
-        self.inner.shared.table.live()
+        let core = self.core();
+        core.table().live()
     }
 
     /// Waker-table slots ever allocated (the memory high-water mark);
     /// plateaus under steady-state churn.
     #[must_use]
     pub fn waker_slots(&self) -> usize {
-        self.inner.shared.table.slot_count()
+        let core = self.core();
+        core.table().slot_count()
     }
 
-    /// Arms a sleep: allocate the waker slot *first* (so a fire racing the
-    /// return can already find the waker), then `START_TIMER` with the
-    /// packed slot as the `Request_ID`.
+    /// Locks the driver core. Callers bind the guard as `core` and keep
+    /// the critical section to the one call on it.
+    fn core(&self) -> MutexGuard<'_, DriverCore<Waker>> {
+        self.inner.shared.core.lock()
+    }
+
+    /// Arms a sleep; see [`DriverCore::arm`].
     pub(crate) fn arm(&self, interval: TickDelta, waker: &Waker) -> ArmOutcome {
-        if let Some(armed) = self.try_arm(interval, waker) {
-            return armed;
-        }
-        // Exhausted: park, then retry once — a fire may have released
-        // capacity between the failure and the park, and without the
-        // retry that release's wake_parked would already have passed us
-        // by. A leftover parked clone after a successful retry is a
-        // harmless spurious wake.
-        self.inner.shared.park(waker);
-        match self.try_arm(interval, waker) {
-            Some(armed) => armed,
-            None => ArmOutcome::Parked,
-        }
-    }
-
-    fn try_arm(&self, interval: TickDelta, waker: &Waker) -> Option<ArmOutcome> {
-        let shared = &self.inner.shared;
-        let slot = match shared.table.alloc(interval, waker.clone()) {
-            Ok(slot) => slot,
-            Err(_) => return None,
-        };
-        match shared.svc.start_timer(slot_to_request(slot), interval) {
-            Ok(timer) => Some(ArmOutcome::Armed { slot, timer }),
-            Err(TimerError::Exhausted) => {
-                shared.table.cancel(slot);
-                None
-            }
-            Err(err) => {
-                shared.table.cancel(slot);
-                // Config-shaped rejections (zero interval is screened by
-                // Sleep, so this is out-of-range/overflow): surface at the
-                // call site rather than parking forever.
-                panic!("timer driver could not arm sleep: {err}");
-            }
-        }
+        let mut core = self.core();
+        core.arm(interval, waker)
     }
 
     /// Poll-time waker re-registration on an armed sleep's slot.
     pub(crate) fn register(&self, slot: TimerHandle, waker: &Waker) -> RegisterOutcome {
-        self.inner.shared.table.register_waker(slot, waker)
+        let mut core = self.core();
+        core.register_waker(slot, waker)
     }
 
-    /// `UPDATE` path for [`Sleep::reset`]: one `restart_timer` round-trip
-    /// (never stop+start), then refresh the slot's recorded interval.
+    /// `UPDATE` path for [`Sleep::reset`]: one `restart_timer` (never
+    /// stop+start).
     pub(crate) fn restart(
         &self,
         timer: TimerHandle,
         slot: TimerHandle,
         interval: TickDelta,
     ) -> Result<(), TimerError> {
-        self.inner.shared.svc.restart_timer(timer, interval)?;
-        self.inner.shared.table.set_interval(slot, interval);
-        Ok(())
+        let mut core = self.core();
+        core.restart(timer, slot, interval)
     }
 
     /// Cancellation path (drop, or reset of an already-fired sleep): stop
-    /// the wheel timer, free the waker slot, and hand the released
-    /// capacity to any exhaustion-parked sleeps.
+    /// the wheel timer, free the waker slot, and wake any exhaustion-parked
+    /// sleeps the released capacity lets retry.
     pub(crate) fn release(&self, timer: TimerHandle, slot: TimerHandle) {
-        let shared = &self.inner.shared;
-        // Either call may report Stale — the timer fired and the expiry
-        // is (or was) in flight; freeing the slot here makes that expiry
-        // route to a stale slot and drop silently.
-        let _ = shared.svc.stop_timer(timer);
-        if shared.table.cancel(slot) {
-            shared.wake_parked();
-        }
+        let due = {
+            let mut core = self.core();
+            core.release(timer, slot);
+            core.take_due()
+        };
+        self.inner.shared.wake(due);
     }
 }

@@ -1,22 +1,21 @@
-//! # tw-async — futures-based timers atop the timing-wheel service
+//! # tw-async — futures-based timers over the timing-wheel schemes
 //!
 //! The async façade over the whole stack: [`Sleep`], [`Timeout`] and
-//! [`Interval`] futures driven by a [`TimerDriver`] that owns a
-//! [`TimerService`](tw_concurrent::TimerService) — and through it, *any*
-//! [`TimerScheme`](tw_core::TimerScheme): basic, hashed, hierarchical,
-//! lawn, or a comparison baseline. The paper's `START_TIMER` /
-//! `STOP_TIMER` / `UPDATE` / `EXPIRY_PROCESSING` become, respectively,
-//! first poll, drop, [`Sleep::reset`], and `Waker::wake`.
+//! [`Interval`] futures driven by a [`TimerDriver`] that owns *any*
+//! [`TimerScheme`](tw_core::TimerScheme) — basic, hashed, hierarchical,
+//! lawn, or a comparison baseline — behind one lock. The paper's
+//! `START_TIMER` / `STOP_TIMER` / `UPDATE` / `EXPIRY_PROCESSING` become,
+//! respectively, first poll, drop, [`Sleep::reset`], and `Waker::wake`,
+//! each one direct call on the scheme.
 //!
 //! The design constraint carried over from the wheels themselves: the
 //! hot path allocates nothing. Each pending sleep owns one generational
 //! slot in a [`TimerArena`](tw_core::arena::TimerArena) holding its task
 //! waker ([`slots::WakerTable`]); the slot handle packs into the
-//! service's `Request_ID`, so registration (re-poll) and wake (expiry
-//! drain) are each one generation-checked arena lookup. Steady-state
-//! churn recycles slots off the free list —
-//! [`TimerDriver::waker_slots`] plateaus, the same memory proof the
-//! wheels make.
+//! scheme's `Request_ID`, so registration (re-poll) and wake (expiry)
+//! are each one generation-checked arena lookup. Steady-state churn
+//! recycles slots off the free list — [`TimerDriver::waker_slots`]
+//! plateaus, the same memory proof the wheels make.
 //!
 //! ```
 //! use tw_async::{block_on, TimerDriver};
@@ -40,9 +39,9 @@
 //! handle.join().unwrap();
 //! ```
 
-// The waker-slot protocol is loom-checkable: under `--cfg loom` only the
-// table (and its tw-concurrent loom-backed Mutex) compiles, and the model
-// suite drives fire/register/cancel races through the exact shipped code.
+// The driver core is loom-checkable: under `--cfg loom` only the core
+// compiles, and the model suite races its operations under a tw-concurrent
+// loom-backed Mutex, through the exact shipped code.
 pub mod slots;
 
 #[cfg(not(loom))]

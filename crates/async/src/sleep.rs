@@ -11,7 +11,8 @@
 //!
 //! Arming is lazy (on first poll, tokio-style) so an unpolled sleep costs
 //! nothing and `interval` is measured from first poll, not construction.
-//! Once armed, the steady-state poll path is allocation-free: one
+//! Each routine is one call on the scheme under the driver's lock. Once
+//! armed, the steady-state poll path is allocation-free: one
 //! generation-checked slot lookup and a `will_wake` test
 //! ([`WakerTable::register_waker`](crate::slots::WakerTable::register_waker)).
 
@@ -21,8 +22,8 @@ use std::task::{Context, Poll, Waker};
 
 use tw_core::{TickDelta, TimerError, TimerHandle};
 
-use crate::driver::{ArmOutcome, TimerDriver};
-use crate::slots::RegisterOutcome;
+use crate::driver::TimerDriver;
+use crate::slots::{ArmOutcome, RegisterOutcome};
 
 enum State {
     /// Not yet armed: either never polled, exhaustion-parked, or revived
@@ -63,22 +64,22 @@ impl Sleep {
     }
 
     /// Whether the sleep has completed (a poll would return `Ready`
-    /// without touching the timer service).
+    /// without touching the driver).
     #[must_use]
     pub fn is_elapsed(&self) -> bool {
         matches!(self.state, State::Done)
     }
 
-    /// Re-arms the sleep to expire `interval` ticks after the service's
+    /// Re-arms the sleep to expire `interval` ticks after the driver's
     /// current time.
     ///
     /// On an armed sleep this is the paper's `UPDATE`: one
     /// `restart_timer` relink on the existing timer record and waker slot
     /// — never a stop+start pair, observable as a lone `on_restart` in
-    /// telemetry. If the timer fired while this call was in flight (the
-    /// handle went stale), or the sleep already completed, the sleep
-    /// returns to `Idle` and re-arms fresh on its next poll. A zero
-    /// `interval` completes the sleep immediately.
+    /// telemetry. If the timer already fired (the handle is stale) or the
+    /// sleep already completed, the sleep returns to `Idle` and re-arms
+    /// fresh on its next poll. A zero `interval` completes the sleep
+    /// immediately.
     pub fn reset(&mut self, interval: TickDelta) {
         self.interval = interval;
         match self.state {
@@ -92,10 +93,9 @@ impl Sleep {
                 match self.driver.restart(timer, slot, interval) {
                     Ok(()) => {} // stays Armed on the same slot — pure UPDATE
                     Err(TimerError::Stale) => {
-                        // Fired mid-reset; the in-flight expiry must not
-                        // wake a future that asked for more time. Freeing
-                        // the slot makes it stale, then re-arm lazily.
-                        self.driver.release(timer, slot);
+                        // Fired before the reset, which freed the slot too:
+                        // the sleep asked for more time, so it re-arms
+                        // lazily instead of completing.
                         self.state = State::Idle;
                     }
                     Err(err) => {

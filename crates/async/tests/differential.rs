@@ -6,13 +6,13 @@
 //! [`TimerDriver::advance`], never concurrently with the ops between
 //! advances. The oracle is a plain `(id → deadline)` map — a sleep armed
 //! at time `t` for interval `i` must complete at the first advance that
-//! reaches `t + i`, a reset rebases the deadline to the service's current
+//! reaches `t + i`, a reset rebases the deadline to the driver's current
 //! time (`UPDATE` semantics), and a drop removes it. After every advance,
 //! each live sleep's poll result must match the oracle exactly: `Ready`
 //! iff `now ≥ deadline`, and a fired sleep's waker must have been invoked
 //! by the wake storm *before* the completing poll observed it.
 //!
-//! A counting observer double-checks the API contract on the service
+//! A counting observer double-checks the API contract on the scheme
 //! side: every successful reset of an armed sleep is exactly one
 //! `on_restart` (never a stop+start pair), and `on_stop` fires only for
 //! drops and zero-interval resets of armed sleeps.

@@ -1,6 +1,6 @@
 //! Behavioral tests for the `Sleep`/`Timeout`/`Interval` futures: the
 //! lifecycle table in `sleep.rs`'s module docs, the exhaustion
-//! backpressure contract, and the realtime dispatcher.
+//! backpressure contract, and the realtime ticker.
 
 // Integration test: panicking on an unexpected Err is the assertion.
 #![allow(clippy::unwrap_used)]
@@ -8,7 +8,7 @@
 
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
@@ -263,11 +263,46 @@ fn capacity_released_by_drop_unparks_a_waiter() {
     assert!(poll_once(&mut waiter, &w2).is_ready());
 }
 
+/// A task that re-polls an exhausted sleep parks once: the parked list
+/// holds one waker per task, so the capacity release wakes it once, not
+/// once per poll.
+#[test]
+fn repolling_a_parked_sleep_parks_one_waker() {
+    #[derive(Default)]
+    struct Count(AtomicUsize);
+    impl Wake for Count {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+        fn wake_by_ref(self: &Arc<Self>) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    let driver = TimerDriver::builder(wheel(16)).arena_capacity(1).build();
+    let (_, holder_waker) = flag_waker();
+    let mut holder = driver.sleep(TickDelta(50));
+    assert!(poll_once(&mut holder, &holder_waker).is_pending());
+
+    let count = Arc::new(Count::default());
+    let waker = Waker::from(Arc::clone(&count));
+    let mut waiter = driver.sleep(TickDelta(5));
+    for _ in 0..100 {
+        assert!(poll_once(&mut waiter, &waker).is_pending());
+    }
+    assert_eq!(driver.outstanding(), 1, "waiter is parked, not armed");
+
+    drop(holder);
+    assert_eq!(count.0.load(Ordering::SeqCst), 1, "one retry wake");
+    assert!(poll_once(&mut waiter, &waker).is_pending());
+    assert_eq!(driver.outstanding(), 1, "waiter armed after retry");
+}
+
 #[test]
 fn block_on_over_realtime_dispatcher() {
-    // Realtime leg: the service thread ticks the wheel on a wall-clock
-    // period and the dispatcher thread delivers the wake — no advance
-    // calls anywhere.
+    // Realtime leg: the driver's ticker thread advances the wheel once
+    // per wall-clock period and delivers the wake — no advance calls
+    // anywhere.
     let driver = TimerDriver::builder(HierarchicalWheel::<RequestId>::new(LevelSizes(vec![
         16, 16,
     ])))
@@ -281,6 +316,18 @@ fn block_on_over_realtime_dispatcher() {
     // deadline does.
     let result = block_on(driver.timeout(TickDelta(5), std::future::pending::<()>()));
     assert!(result.is_err());
+}
+
+#[test]
+fn dropping_a_realtime_driver_stops_its_ticker_promptly() {
+    // A long period must not delay shutdown: drop unparks the ticker and
+    // joins it.
+    let driver = TimerDriver::builder(wheel(16))
+        .realtime(Duration::from_secs(3600))
+        .build();
+    let started = std::time::Instant::now();
+    drop(driver);
+    assert!(started.elapsed() < Duration::from_secs(60));
 }
 
 #[test]

@@ -1,6 +1,5 @@
 //! Model 9 of the workspace's loom suite (models 1–8 live in
-//! tw-concurrent): exhaustive checking of the waker-slot protocol that
-//! `Sleep` polling and the driver's batched drain share.
+//! tw-concurrent): exhaustive checking of the driver core's one lock.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg loom"`:
 //!
@@ -8,150 +7,201 @@
 //! RUSTFLAGS="--cfg loom" cargo test -p tw-async --release --test loom
 //! ```
 //!
-//! The models drive the *exact shipped* [`WakerTable`] code — the same
-//! generic methods `Sleep::poll` and `TimerDriver` call — with integer
-//! tokens standing in for task wakers, and assert the three properties
-//! the async layer rests on across **every** interleaving:
+//! The models drive the *exact shipped* [`DriverCore`] — the same methods
+//! `Sleep` and `TimerDriver` call — over a small hashed wheel, behind the
+//! tw-concurrent `Mutex` the driver locks, with integer tokens standing in
+//! for task wakers. Each model follows the driver's protocol: one core call
+//! per critical section, and due wakers invoked only after the lock is
+//! released. Across **every** interleaving they assert:
 //!
-//! 9a. re-register racing fire: the task is woken exactly once, with a
-//!     waker it actually registered — never a lost wakeup (fire always
-//!     finds a waker: the slot holds one from the moment it is
-//!     allocated), never a double wake;
-//! 9b. drop racing fire: exactly one of {cancel reclaims the slot, fire
-//!     takes the waker} wins — a dropped sleep is never woken and a
-//!     fired slot is never double-freed;
-//! 9c. reset's interval rewrite racing fire: the fire observes either
-//!     the old or the new interval atomically, and a reset that loses
-//!     the race observes `Stale` rather than touching a recycled slot.
+//! 9a. re-poll racing advance: the task is woken exactly once, with a
+//!     waker it actually registered — never a lost wakeup, never a double
+//!     wake;
+//! 9b. drop racing advance: exactly one side frees the slot, and a dropped
+//!     sleep is never woken;
+//! 9c. reset racing advance: the reset either moves the deadline (and the
+//!     old deadline never fires) or observes `Stale` after the fire;
+//! 9d. two concurrent arms: distinct slots and distinct `Request_ID`s.
 
 #![cfg(loom)]
 
 use loom::sync::atomic::{AtomicUsize, Ordering};
-use tw_async::slots::{RegisterOutcome, WakerTable};
-use tw_concurrent::sync::Arc;
-use tw_core::TickDelta;
+use tw_async::slots::{slot_to_request, ArmOutcome, DriverCore, RegisterOutcome, TaskWaker};
+use tw_concurrent::sync::{Arc, Mutex};
+use tw_core::wheel::HashedWheelUnsorted;
+use tw_core::{TickDelta, TimerError, TimerHandle};
 
-/// Model 9a: a task re-polling (re-registering its waker) while the
-/// driver's drain fires the slot. No schedule may lose the wakeup.
+/// An integer stand-in for a task waker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Token(usize);
+
+impl TaskWaker for Token {
+    fn will_wake(&self, other: &Self) -> bool {
+        self == other
+    }
+}
+
+type Core = Arc<Mutex<DriverCore<Token>>>;
+
+fn core() -> Core {
+    Arc::new(Mutex::new(DriverCore::new(
+        HashedWheelUnsorted::new(8),
+        None,
+        None,
+    )))
+}
+
+fn arm(core: &Core, interval: u64, waker: Token) -> (TimerHandle, TimerHandle) {
+    match core.lock().arm(TickDelta(interval), &waker) {
+        ArmOutcome::Armed { slot, timer } => (slot, timer),
+        ArmOutcome::Parked => panic!("uncapped core never parks"),
+    }
+}
+
+/// `TimerDriver::advance`: fire under the lock, then wake the due tokens
+/// after releasing it, counting each wake per token. Returns the count of
+/// fired timers.
+fn advance(core: &Core, ticks: u64, wakes: &[AtomicUsize]) -> u64 {
+    let (fired, due) = {
+        let mut c = core.lock();
+        (c.advance(ticks), c.take_due())
+    };
+    for token in due.unwrap_or_default() {
+        wakes[token.0].fetch_add(1, Ordering::SeqCst);
+    }
+    fired
+}
+
+fn counters() -> Arc<[AtomicUsize; 3]> {
+    Arc::new([
+        AtomicUsize::new(0),
+        AtomicUsize::new(0),
+        AtomicUsize::new(0),
+    ])
+}
+
+/// Model 9a: a task re-polling (re-registering its waker) while another
+/// thread advances the clock across its deadline. No schedule may lose
+/// the wakeup.
 #[test]
-fn reregister_vs_fire_wakes_exactly_once() {
+fn repoll_vs_advance_wakes_exactly_once() {
     loom::model(|| {
-        let table: Arc<WakerTable<usize>> = Arc::new(WakerTable::new());
-        // Armed at first poll: waker 1 is stored before any race begins,
-        // exactly as TimerDriver::arm stores the waker at alloc time.
-        let slot = table.alloc(TickDelta(4), 1).unwrap();
-        let wakes = Arc::new(AtomicUsize::new(0));
+        let core = core();
+        let wakes = counters();
+        // Armed at first poll: token 1 is stored before any race begins.
+        let (slot, _) = arm(&core, 1, Token(1));
 
-        let driver = {
-            let table = Arc::clone(&table);
+        let ticker = {
+            let core = Arc::clone(&core);
             let wakes = Arc::clone(&wakes);
-            loom::thread::spawn(move || {
-                // The drain: take the waker and invoke it outside the lock.
-                let (waker, interval) = table
-                    .take_for_fire(slot)
-                    .expect("only the drain frees this slot, so fire always finds it live");
-                assert_eq!(interval, TickDelta(4));
-                let woken = waker.expect("slot has held a waker since alloc");
-                assert!(woken == 1 || woken == 2, "a registered waker, not junk");
-                wakes.fetch_add(1, Ordering::SeqCst);
-            })
+            loom::thread::spawn(move || advance(&core, 1, &wakes[..]))
         };
+        // The re-poll with a new waker (Sleep::poll_armed).
+        let outcome = core.lock().register_waker(slot, &Token(2));
+        assert_eq!(ticker.join().unwrap(), 1);
 
-        // The re-poll: replace waker 1 with waker 2, or complete if the
-        // fire already consumed the slot (Sleep::poll_armed's two arms).
-        let outcome = table.register(slot, 2);
-        driver.join().unwrap();
-
-        assert_eq!(wakes.load(Ordering::SeqCst), 1, "woken exactly once");
-        assert_eq!(
-            table.register(slot, 3),
-            RegisterOutcome::Stale,
-            "slot is stale for every later poll"
+        let (w1, w2) = (
+            wakes[1].load(Ordering::SeqCst),
+            wakes[2].load(Ordering::SeqCst),
         );
-        // Whichever order the mutex arbitrated, the protocol converged:
-        // Registered means the fire then delivered waker 2; Stale means
-        // the poll completes the future directly. Both paths wake once.
-        let _ = outcome;
-        assert_eq!(table.live(), 0);
-    });
-}
-
-/// Model 9b: `Sleep::drop` (cancel) racing the drain's fire. The slot
-/// generation arbitrates: exactly one side reclaims the slot, and a
-/// dropped sleep's waker is never invoked.
-#[test]
-fn drop_vs_fire_exactly_one_side_wins() {
-    loom::model(|| {
-        let table: Arc<WakerTable<usize>> = Arc::new(WakerTable::new());
-        let slot = table.alloc(TickDelta(2), 7).unwrap();
-
-        let driver = {
-            let table = Arc::clone(&table);
-            loom::thread::spawn(move || table.take_for_fire(slot).is_some())
-        };
-        let cancelled = table.cancel(slot);
-        let fired = driver.join().unwrap();
-
-        assert_ne!(
-            cancelled, fired,
-            "exactly one of cancel/fire reclaims the slot (cancelled={cancelled}, fired={fired})"
-        );
-        assert_eq!(table.live(), 0, "loser left no residue");
-        assert_eq!(table.take_for_fire(slot), None, "no double free");
-    });
-}
-
-/// Model 9c: `Sleep::reset`'s slot-interval rewrite racing the fire. The
-/// fire reads old-or-new atomically; a reset losing the race sees the
-/// slot stale instead of corrupting a recycled one.
-#[test]
-fn reset_interval_vs_fire_is_atomic() {
-    loom::model(|| {
-        let table: Arc<WakerTable<usize>> = Arc::new(WakerTable::new());
-        let slot = table.alloc(TickDelta(10), 1).unwrap();
-
-        let driver = {
-            let table = Arc::clone(&table);
-            loom::thread::spawn(move || table.take_for_fire(slot))
-        };
-        let rewrote = table.set_interval(slot, TickDelta(20));
-        let fired = driver.join().unwrap();
-
-        let (waker, interval) = fired.expect("only the fire frees the slot");
-        assert_eq!(waker, Some(1));
-        if rewrote {
-            // Rewrite won the lock first: the fire must see the new value.
-            assert_eq!(interval, TickDelta(20));
-        } else {
-            // Fire won: the slot was stale by the time reset got the lock,
-            // and the fire delivered the original interval.
-            assert_eq!(interval, TickDelta(10));
+        assert_eq!(w1 + w2, 1, "woken exactly once");
+        match outcome {
+            // The re-poll won the lock: the fire delivered its waker.
+            RegisterOutcome::Registered => assert_eq!(w2, 1),
+            // The fire won: the poll completes the future directly.
+            RegisterOutcome::Stale => assert_eq!(w1, 1),
         }
-        assert_eq!(table.live(), 0);
+        assert_eq!(core.lock().table().live(), 0);
     });
 }
 
-/// Model 9d: two sleeps arming (allocating) concurrently never share a
-/// slot, and their packed `Request_ID`s stay distinct — the property the
-/// expiry-routing path depends on.
+/// Model 9b: `Sleep::drop` (release) racing the advance. Exactly one side
+/// frees the slot, and a dropped sleep's waker is never invoked.
 #[test]
-fn concurrent_alloc_distinct_slots() {
-    use tw_async::slots::slot_to_request;
+fn drop_vs_advance_exactly_one_side_frees() {
     loom::model(|| {
-        let table: Arc<WakerTable<usize>> = Arc::new(WakerTable::new());
-        let other = {
-            let table = Arc::clone(&table);
-            loom::thread::spawn(move || table.alloc(TickDelta(1), 1).unwrap())
+        let core = core();
+        let wakes = counters();
+        let (slot, timer) = arm(&core, 1, Token(1));
+
+        let ticker = {
+            let core = Arc::clone(&core);
+            let wakes = Arc::clone(&wakes);
+            loom::thread::spawn(move || advance(&core, 1, &wakes[..]))
         };
-        let a = table.alloc(TickDelta(2), 2).unwrap();
-        let b = other.join().unwrap();
+        let released = core.lock().release(timer, slot);
+        let fired = ticker.join().unwrap();
+
+        assert_ne!(released, fired == 1, "exactly one side frees the slot");
+        assert_eq!(
+            wakes[1].load(Ordering::SeqCst),
+            usize::from(!released),
+            "woken only if the fire won"
+        );
+        let c = core.lock();
+        assert_eq!(c.table().live(), 0, "loser left no residue");
+        assert_eq!(c.outstanding(), 0);
+    });
+}
+
+/// Model 9c: `Sleep::reset` racing the advance across the old deadline.
+/// A successful reset moves the deadline, so the old one never fires; a
+/// reset that lost the race sees `Stale` after the one fire.
+#[test]
+fn reset_vs_advance_is_new_deadline_or_stale() {
+    loom::model(|| {
+        let core = core();
+        let wakes = counters();
+        let (slot, timer) = arm(&core, 1, Token(1));
+
+        let ticker = {
+            let core = Arc::clone(&core);
+            let wakes = Arc::clone(&wakes);
+            loom::thread::spawn(move || advance(&core, 1, &wakes[..]))
+        };
+        let reset = core.lock().restart(timer, slot, TickDelta(2));
+        let fired = ticker.join().unwrap();
+
+        match reset {
+            Ok(()) => {
+                assert_eq!(fired, 0, "no fire at the old deadline");
+                assert_eq!(wakes[1].load(Ordering::SeqCst), 0);
+                // The reset landed at tick 0, so the new deadline is 2.
+                assert_eq!(
+                    advance(&core, 1, &wakes[..]),
+                    1,
+                    "fires at the new deadline"
+                );
+            }
+            Err(TimerError::Stale) => assert_eq!(fired, 1, "the fire won the race"),
+            Err(other) => panic!("unexpected reset error: {other}"),
+        }
+        assert_eq!(wakes[1].load(Ordering::SeqCst), 1, "woken exactly once");
+        assert_eq!(core.lock().table().live(), 0);
+    });
+}
+
+/// Model 9d: two sleeps arming concurrently never share a slot, and their
+/// packed `Request_ID`s stay distinct — the property expiry routing
+/// depends on.
+#[test]
+fn concurrent_arms_get_distinct_slots() {
+    loom::model(|| {
+        let core = core();
+        let wakes = counters();
+        let other = {
+            let core = Arc::clone(&core);
+            loom::thread::spawn(move || arm(&core, 1, Token(1)))
+        };
+        let (a, ta) = arm(&core, 2, Token(2));
+        let (b, tb) = other.join().unwrap();
 
         assert_ne!(a, b, "distinct slots");
         assert_ne!(slot_to_request(a), slot_to_request(b), "distinct ids");
-        assert_eq!(table.live(), 2);
-        let (wa, ia) = table.take_for_fire(a).unwrap();
-        let (wb, ib) = table.take_for_fire(b).unwrap();
-        assert_eq!((wa, ia), (Some(2), TickDelta(2)));
-        assert_eq!((wb, ib), (Some(1), TickDelta(1)));
+        assert_ne!(ta, tb, "distinct timers");
+        assert_eq!(core.lock().table().live(), 2);
+        assert_eq!(advance(&core, 2, &wakes[..]), 2);
+        assert_eq!(wakes[1].load(Ordering::SeqCst), 1);
+        assert_eq!(wakes[2].load(Ordering::SeqCst), 1);
     });
 }

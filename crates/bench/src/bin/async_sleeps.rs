@@ -2,20 +2,21 @@
 //!
 //! The async stack's scaling claim, measured end to end: `tw-async` holds
 //! `n` concurrent `Sleep` futures (1M by default; pass a count or set
-//! `ASYNC_N` for CI smoke runs) over a driver-owned timer service, then
-//! survives a reset churn and a chunked advance sweep that delivers the
-//! wake storms. Three claims are asserted, not just printed:
+//! `ASYNC_N` for CI smoke runs) over a driver that owns the wheel behind
+//! one lock, then survives a reset churn and a chunked advance sweep that
+//! delivers the wake storms. Three claims are asserted, not just printed:
 //!
-//! * **Allocation-free hot path** — the waker-slot slab and the scheme
-//!   arena both plateau at the ramp's high-water mark: re-polling the
-//!   whole fleet allocates nothing (`will_wake` short-circuit), reset
-//!   churn relinks in place, and a post-drain second wave re-arms
-//!   entirely off the free lists (`waker_slots()` never grows past `n`).
+//! * **Allocation-free hot path** — a counting global allocator sees zero
+//!   heap allocations while the whole fleet is re-polled (`will_wake`
+//!   short-circuit) and while a post-drain second wave arms entirely off
+//!   the free lists; the waker-slot slab plateaus at the ramp's
+//!   high-water mark throughout (`waker_slots()` never grows past `n`),
+//!   and reset churn relinks in place.
 //! * **Reset is `UPDATE`, never stop+start** — during churn, telemetry
 //!   must show exactly one `on_restart` per reset and *zero* `on_stop`:
 //!   the driver maps `Sleep::reset` to `restart_timer` (TW014's O(1)
-//!   relink), so a reset costs one command round-trip, not two plus a
-//!   realloc.
+//!   relink), so a reset costs one relink under the driver lock, not two
+//!   calls plus a realloc.
 //! * **Exactly-once wake delivery** — every surviving sleep's waker is
 //!   invoked exactly once across the storm sweep (wake count == fires ==
 //!   survivors), and the per-fire `wake_latency` histogram carries one
@@ -32,6 +33,7 @@
     clippy::cast_precision_loss
 )]
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,6 +52,43 @@ use tw_workload::{IntervalDist, SleepOp, SleepsConfig, SleepsPlan};
 /// keeps bucket chains short at 1M timers without pretending the wheel
 /// must cover the span.
 const TABLE_SIZE: usize = 4096;
+
+/// The system allocator, counting every allocation and reallocation so
+/// the allocation-free claims are asserted rather than inferred.
+struct CountingAlloc;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards to `System` unchanged; the counter is a
+// relaxed atomic that never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` contract passes straight through.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` was allocated by this allocator with `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was allocated by this allocator with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.load(Ordering::Relaxed)
+}
 
 /// A wake counter standing in for an executor's run queue: every
 /// delivered fire increments it exactly once.
@@ -94,7 +133,6 @@ fn main() {
     let driver = TimerDriver::builder(HashedWheelUnsorted::<RequestId>::new(TABLE_SIZE))
         .observer(Arc::clone(&telemetry) as Arc<dyn Observer + Send + Sync>)
         .arena_capacity(usize::try_from(n).unwrap() + 1)
-        .channel_depth(usize::try_from(n / 8).unwrap().max(64))
         .build();
     let counter = Arc::new(CountingWaker(AtomicU64::new(0)));
     let waker = Waker::from(Arc::clone(&counter));
@@ -146,12 +184,15 @@ fn main() {
                     );
 
                     // Allocation-free re-poll: re-register the entire
-                    // surviving fleet; the slab must not move.
+                    // surviving fleet; nothing may allocate and the slab
+                    // must not move.
+                    let allocs0 = allocations();
                     let t0 = Instant::now();
                     for slot in sleeps.iter_mut().flatten() {
                         assert!(poll(slot, &waker).is_pending());
                     }
                     let repoll_ns = t0.elapsed().as_nanos() as f64 / plan.survivors as f64;
+                    assert_eq!(allocations() - allocs0, 0, "re-polling the fleet allocated");
                     assert_eq!(
                         driver.waker_slots(),
                         peak_slots,
@@ -234,14 +275,20 @@ fn main() {
     );
 
     // Second wave: re-arm half the fleet after the drain — everything
-    // must come off the free lists, growing nothing.
+    // must come off the free lists, allocating and growing nothing.
     let wave = n / 2;
     let mut second: Vec<Sleep> = Vec::with_capacity(wave as usize);
+    let allocs0 = allocations();
     for _ in 0..wave {
         let mut sleep = driver.sleep(TickDelta(100));
         assert!(poll(&mut sleep, &waker).is_pending());
         second.push(sleep);
     }
+    assert_eq!(
+        allocations() - allocs0,
+        0,
+        "arming the second wave allocated"
+    );
     assert_eq!(
         driver.waker_slots(),
         peak_slots,
@@ -259,7 +306,8 @@ fn main() {
         "\n{n} sleeps ramped, churned, stormed and re-waved in {} s",
         f2(total_s)
     );
-    println!("expected shape: waker slots plateau at the ramp peak through");
+    println!("expected shape: zero allocations across the fleet re-poll and");
+    println!("the second-wave arm; waker slots plateau at the ramp peak through");
     println!("re-poll, churn, storm, drain and the second wave; restarts ==");
     println!("resets with zero reset-driven stops (UPDATE, never STOP+START);");
     println!("wake count == fires == survivors (exactly-once delivery).");
